@@ -23,9 +23,10 @@ var sleeperSeeds = map[string]bool{
 	"(*safelinux/internal/linuxlike/journal.Journal).Begin":      true,
 	"(*safelinux/internal/linuxlike/journal.Journal).Commit":     true,
 	"(*safelinux/internal/linuxlike/journal.Journal).Checkpoint": true,
-	// kio completion waiters.
-	"(*safelinux/internal/linuxlike/kio.Ticket).Wait": true,
-	"(*safelinux/internal/linuxlike/kio.Engine).Reap": true,
+	// kio: Wait blocks on completions; Submit takes the dispatch lock
+	// and runs the batch's barriers before it returns.
+	"(*safelinux/internal/linuxlike/kio.Ticket).Wait":  true,
+	"(*safelinux/internal/linuxlike/kio.Batch).Submit": true,
 	// Standard library blocking synchronization.
 	"(*sync.Mutex).Lock":     true,
 	"(*sync.RWMutex).Lock":   true,

@@ -2,8 +2,8 @@
 // the simulated kernel's own primitives: no path may sleep while a
 // kbase.SpinLock is held. Sleeping means acquiring a sleeping lock
 // (KMutex.Lock/LockNested, RWSem.DownRead/DownWrite), waiting on a
-// journal gate (Begin/Commit/Checkpoint), waiting for kio completions
-// (Ticket.Wait, Engine.Reap), any channel operation, or the standard
+// journal gate (Begin/Commit/Checkpoint), submitting or waiting on kio
+// I/O (Batch.Submit, Ticket.Wait), any channel operation, or the standard
 // library's blocking synchronization — transitively, through the
 // per-package call graph, with dynamic dispatch (interface methods,
 // function values) treated as conservative may-sleep.

@@ -2,7 +2,9 @@ package bufcache
 
 import (
 	"testing"
+	"time"
 
+	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
 	"safelinux/internal/linuxlike/kio"
 )
@@ -112,5 +114,106 @@ func TestSyncDirtyAsyncMatchesSync(t *testing.T) {
 		if syncImg[i] != asyncImg[i] {
 			t.Fatalf("durable images diverge at byte %d (block %d)", i, i/64)
 		}
+	}
+}
+
+// heldWriteBackend drives a device through the engine but holds every
+// write until resume is closed, announcing each on entered first.
+type heldWriteBackend struct {
+	dev     *blockdev.Device
+	entered chan struct{}
+	resume  chan struct{}
+}
+
+func (h heldWriteBackend) BlockSize() int                        { return h.dev.BlockSize() }
+func (h heldWriteBackend) Blocks() uint64                        { return h.dev.Blocks() }
+func (h heldWriteBackend) Read(b uint64, buf []byte) kbase.Errno { return h.dev.Read(b, buf) }
+func (h heldWriteBackend) Flush() kbase.Errno                    { return h.dev.Flush() }
+
+func (h heldWriteBackend) Write(b uint64, data []byte) kbase.Errno {
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	<-h.resume
+	return h.dev.Write(b, data)
+}
+
+// TestRedirtyDuringWritebackStaysDirty dirties a buffer again after
+// writeback copied its data but before the write completed. The newer
+// bytes were never written, so the buffer must stay dirty and on the
+// dirty list, and the next sync must write them.
+func TestRedirtyDuringWritebackStaysDirty(t *testing.T) {
+	c := testCache(t, 0)
+	be := heldWriteBackend{dev: c.Device(), entered: make(chan struct{}, 1), resume: make(chan struct{})}
+	e := kio.New(be, kio.Config{Workers: 1})
+	t.Cleanup(e.Close)
+	c.SetEngine(e)
+
+	dirtyBlock(t, c, 3, 0x01)
+	done := make(chan kbase.Errno)
+	go func() { done <- c.SyncDirty() }()
+	<-be.entered // the 0x01 copy is in flight
+	dirtyBlock(t, c, 3, 0x02)
+	close(be.resume)
+	if err := <-done; err != kbase.EOK {
+		t.Fatalf("SyncDirty: %v", err)
+	}
+	bh, _ := c.Bread(3)
+	defer bh.Put()
+	if !bh.Dirty() || c.DirtyCount() != 1 {
+		t.Fatalf("re-dirtied buffer went clean: flags %s, dirty count %d",
+			FlagString(bh.Flags()), c.DirtyCount())
+	}
+	if err := c.SyncDirty(); err != kbase.EOK {
+		t.Fatalf("second SyncDirty: %v", err)
+	}
+	raw := make([]byte, c.Device().BlockSize())
+	c.Device().Read(3, raw)
+	if raw[0] != 0x02 || c.DirtyCount() != 0 {
+		t.Fatalf("second sync: device holds %#x, dirty count %d", raw[0], c.DirtyCount())
+	}
+}
+
+// TestOlderWritebackNeverLandsLast starts a second writeback of a
+// buffer while an older copy of it is still in flight. The older copy
+// must not reach the device after the newer one, or the device keeps
+// stale bytes while the buffer reads clean.
+func TestOlderWritebackNeverLandsLast(t *testing.T) {
+	c := testCache(t, 0)
+	be := heldWriteBackend{dev: c.Device(), entered: make(chan struct{}, 1), resume: make(chan struct{})}
+	e := kio.New(be, kio.Config{Workers: 1})
+	t.Cleanup(e.Close)
+	c.SetEngine(e)
+
+	dirtyBlock(t, c, 3, 0x01)
+	synced := make(chan kbase.Errno)
+	go func() { synced <- c.SyncDirty() }()
+	<-be.entered // the 0x01 copy is in flight
+	dirtyBlock(t, c, 3, 0x02)
+	bh, _ := c.Bread(3)
+	defer bh.Put()
+	wrote := make(chan kbase.Errno)
+	go func() { wrote <- c.WriteBuffer(bh) }()
+	// Give an unserialized WriteBuffer time to land 0x02 first.
+	select {
+	case err := <-wrote:
+		close(be.resume)
+		if err != kbase.EOK {
+			t.Fatalf("WriteBuffer: %v", err)
+		}
+	case <-time.After(20 * time.Millisecond):
+		close(be.resume)
+		if err := <-wrote; err != kbase.EOK {
+			t.Fatalf("WriteBuffer: %v", err)
+		}
+	}
+	if err := <-synced; err != kbase.EOK {
+		t.Fatalf("SyncDirty: %v", err)
+	}
+	raw := make([]byte, c.Device().BlockSize())
+	c.Device().Read(3, raw)
+	if raw[0] != 0x02 && !bh.Dirty() {
+		t.Fatalf("device holds stale %#x and the buffer reads clean", raw[0])
 	}
 }

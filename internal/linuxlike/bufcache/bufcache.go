@@ -94,8 +94,9 @@ type BufferHead struct {
 	mu    sync.Mutex // b_uptodate_lock analogue; guards flags only
 	flags Flag
 
-	// ioMu serializes the read-in path (Bread) so two tasks missing on
-	// the same block do not both copy from the device into Data.
+	// ioMu is the buffer lock (lock_buffer). It serializes read-in
+	// (two tasks missing on one block do not both copy from the
+	// device into Data), writeback's copy of Data, and Modify.
 	ioMu sync.Mutex
 
 	cache    *Cache
@@ -105,6 +106,11 @@ type BufferHead struct {
 	// typed intrusive list replaces the old container/list, whose
 	// any-typed Element.Value forced a cast on every eviction.
 	lruPrev, lruNext *BufferHead
+
+	// dirtyGen counts MarkDirty calls, so writeback can tell whether
+	// the buffer was dirtied again after its data was copied. Guarded
+	// by the owning shard's mutex.
+	dirtyGen uint64
 
 	// journalSeq replaces the void*-style JournalData (b_private)
 	// field: the journal records the owning transaction's sequence
@@ -187,8 +193,24 @@ func (bh *BufferHead) Flags() Flag {
 // MarkDirty marks the buffer dirty and moves it onto the cache's
 // dirty list, mirroring mark_buffer_dirty.
 func (bh *BufferHead) MarkDirty() {
+	s := bh.cache.shard(bh.Block)
+	s.mu.Lock()
 	bh.SetFlag(BHDirty)
-	bh.cache.noteDirty(bh)
+	bh.dirtyGen++
+	s.dirty[bh.Block] = bh
+	s.mu.Unlock()
+}
+
+// Modify runs fn on the buffer's data under the buffer lock and marks
+// the buffer dirty before releasing it. A concurrent writeback thus
+// copies all of fn's change or none of it, and in the second case the
+// buffer stays dirty. fn must not read bh in again: Bread takes the
+// same lock.
+func (bh *BufferHead) Modify(fn func(data []byte)) {
+	bh.ioMu.Lock()
+	defer bh.ioMu.Unlock()
+	fn(bh.Data)
+	bh.MarkDirty()
 }
 
 // MarkUptodate marks the buffer's contents valid.
@@ -306,6 +328,11 @@ type Cache struct {
 	maxBufs      int           // cache-wide capacity (0 = unbounded)
 	size         atomic.Int64  // total buffers across shards
 	overReleases atomic.Uint64 // Put calls rejected with OverReleaseError
+
+	// wbMu runs one writeback at a time, so the copies of a buffer
+	// reach the device in the order they were taken: an older copy
+	// still in flight can never land on top of a newer one.
+	wbMu sync.Mutex
 
 	// engine, when set, switches SyncDirty to async writeback: every
 	// dirty buffer is submitted before the first completion is waited
@@ -498,12 +525,33 @@ func (c *Cache) fill(task *kbase.Task, bh *BufferHead) kbase.Errno {
 	return kbase.EOK
 }
 
-// noteDirty puts bh on the dirty list.
-func (c *Cache) noteDirty(bh *BufferHead) {
+// copyOut passes bh's data to submit, which must copy it before it
+// returns, under the buffer lock. It returns the dirty generation the
+// copy reflects, for written.
+func (c *Cache) copyOut(bh *BufferHead, submit func(data []byte) kbase.Errno) (uint64, kbase.Errno) {
+	bh.ioMu.Lock()
+	defer bh.ioMu.Unlock()
 	s := c.shard(bh.Block)
 	s.mu.Lock()
-	s.dirty[bh.Block] = bh
+	gen := bh.dirtyGen
 	s.mu.Unlock()
+	return gen, submit(bh.Data)
+}
+
+// written records that bh's data as of dirty generation gen reached
+// the device. The buffer goes clean only if nothing dirtied it since
+// that copy; otherwise the newer bytes still await writeback.
+func (c *Cache) written(bh *BufferHead, gen uint64) {
+	s := c.shard(bh.Block)
+	s.mu.Lock()
+	if bh.dirtyGen == gen {
+		bh.ClearFlag(BHDirty | BHNew)
+		delete(s.dirty, bh.Block)
+	}
+	s.writeback++
+	s.mu.Unlock()
+	bh.SetFlag(BHReq)
+	tpWriteback.Emit(0, bh.Block, 0)
 }
 
 // doWriteBuffer synchronously writes one buffer to disk and clears its
@@ -516,18 +564,14 @@ func (c *Cache) doWriteBuffer(bh *BufferHead) kbase.Errno {
 			"submit of unmapped buffer %d (flags %04x)", bh.Block, bh.Flags())
 		return kbase.EINVAL
 	}
-	if err := c.dev.Write(bh.Block, bh.Data); err != kbase.EOK {
+	c.wbMu.Lock()
+	defer c.wbMu.Unlock()
+	gen, err := c.copyOut(bh, func(data []byte) kbase.Errno { return c.dev.Write(bh.Block, data) })
+	if err != kbase.EOK {
 		bh.SetFlag(BHWriteEIO)
 		return err
 	}
-	bh.ClearFlag(BHDirty | BHNew)
-	bh.SetFlag(BHReq)
-	s := c.shard(bh.Block)
-	s.mu.Lock()
-	delete(s.dirty, bh.Block)
-	s.writeback++
-	s.mu.Unlock()
-	tpWriteback.Emit(0, bh.Block, 0)
+	c.written(bh, gen)
 	return kbase.EOK
 }
 
@@ -540,6 +584,8 @@ func (c *Cache) doSyncDirty() kbase.Errno {
 }
 
 func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
+	c.wbMu.Lock()
+	defer c.wbMu.Unlock()
 	var toWrite []*BufferHead
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -555,6 +601,7 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 	var firstErr kbase.Errno = kbase.EOK
 	plug := c.dev.Plug()
 	queued := make([]*BufferHead, 0, len(toWrite))
+	gens := make([]uint64, 0, len(toWrite))
 	for _, bh := range toWrite {
 		if !bh.TestFlag(BHMapped) && !bh.TestFlag(BHNew) {
 			kbase.Oops(kbase.OopsSemantic, "bufcache",
@@ -564,13 +611,15 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 			}
 			continue
 		}
-		if err := plug.Write(bh.Block, bh.Data); err != kbase.EOK {
+		gen, err := c.copyOut(bh, func(data []byte) kbase.Errno { return plug.Write(bh.Block, data) })
+		if err != kbase.EOK {
 			if firstErr == kbase.EOK {
 				firstErr = err
 			}
 			continue
 		}
 		queued = append(queued, bh)
+		gens = append(gens, gen)
 	}
 	results, _ := plug.Unplug()
 	for i, bh := range queued {
@@ -581,14 +630,7 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 			}
 			continue
 		}
-		bh.ClearFlag(BHDirty | BHNew)
-		bh.SetFlag(BHReq)
-		s := c.shard(bh.Block)
-		s.mu.Lock()
-		delete(s.dirty, bh.Block)
-		s.writeback++
-		s.mu.Unlock()
-		tpWriteback.Emit(0, bh.Block, 0)
+		c.written(bh, gens[i])
 	}
 	if err := c.dev.Flush(); err != kbase.EOK && firstErr == kbase.EOK {
 		firstErr = err
@@ -606,6 +648,7 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 	var firstErr kbase.Errno = kbase.EOK
 	b := e.NewBatch()
 	queued := make([]*BufferHead, 0, len(toWrite))
+	gens := make([]uint64, 0, len(toWrite))
 	for _, bh := range toWrite {
 		if !bh.TestFlag(BHMapped) && !bh.TestFlag(BHNew) {
 			kbase.Oops(kbase.OopsSemantic, "bufcache",
@@ -615,13 +658,15 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 			}
 			continue
 		}
-		if err := b.Write(bh.Block, bh.Data, uint64(len(queued))); err != kbase.EOK {
+		gen, err := c.copyOut(bh, func(data []byte) kbase.Errno { return b.Write(bh.Block, data, uint64(len(queued))) })
+		if err != kbase.EOK {
 			if firstErr == kbase.EOK {
 				firstErr = err
 			}
 			continue
 		}
 		queued = append(queued, bh)
+		gens = append(gens, gen)
 		b.Submit()
 	}
 	b.Barrier(0)
@@ -640,14 +685,7 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 			}
 			continue
 		}
-		bh.ClearFlag(BHDirty | BHNew)
-		bh.SetFlag(BHReq)
-		s := c.shard(bh.Block)
-		s.mu.Lock()
-		delete(s.dirty, bh.Block)
-		s.writeback++
-		s.mu.Unlock()
-		tpWriteback.Emit(0, bh.Block, 0)
+		c.written(bh, gens[cqe.User])
 	}
 	return firstErr
 }

@@ -162,8 +162,8 @@ func (inst *fsInstance) commit(task *kbase.Task) kbase.Errno {
 
 // inodeOps implements vfs.TypedInodeOps: extlike is a converted file
 // system, so Lookup/Create/Mkdir return typedapi.Result and no errno
-// ever travels inside an inode pointer. It is wrapped with
-// vfs.AdaptTyped for legacy callers.
+// ever travels inside an inode pointer. VFS dispatches to it directly;
+// no legacy adapter sits in between.
 type inodeOps struct {
 	inst *fsInstance
 }
@@ -320,31 +320,43 @@ func (inst *fsInstance) removeEntry(task *kbase.Task, dir *vfs.Inode, name strin
 	childVi.Nlink = uint32(cei.di.Nlink)
 	childVi.ILock.Unlock(task)
 	if cei.di.Nlink == 0 {
-		if childVi.OpenCount() > 0 {
-			// POSIX orphan file: live descriptors must keep reading
-			// and writing until the last close, so storage reclaim
-			// is deferred to Release. The dirent is gone either way.
-			cei.orphan = true
-		} else {
-			if !inst.fs.LeakOnUnlink {
-				if err := inst.freeAllBlocks(task, h, cei); err != kbase.EOK {
-					return err
-				}
-			}
-			// else: injected leak — blocks stay allocated forever.
-			if err := inst.freeIno(task, h, target.Ino); err != kbase.EOK {
-				return err
-			}
-		}
-		inst.imu.Lock()
-		delete(inst.inodes, target.Ino)
-		inst.imu.Unlock()
+		err = inst.dropInode(task, h, target.Ino, cei, childVi)
+	} else {
+		err = inst.writeDiskInode(task, h, target.Ino, &cei.di)
 	}
-	if err := inst.writeDiskInode(task, h, target.Ino, &cei.di); err != kbase.EOK {
+	if err != kbase.EOK {
 		return err
 	}
 	h.Stop()
 	return inst.commit(task)
+}
+
+// dropInode retires an inode whose last link is gone: it writes the
+// nlink-0 inode, drops the icache entry and frees the blocks and the
+// inode number. The number is released last, because from then on a
+// concurrent create in another directory may allocate and write it.
+// An inode still open is orphaned instead: POSIX lets live descriptors
+// keep reading and writing until the last close, so Release reclaims
+// its storage.
+func (inst *fsInstance) dropInode(task *kbase.Task, h *journal.Handle, ino uint64, ei *einode, vi *vfs.Inode) kbase.Errno {
+	reclaim := vi.OpenCount() == 0
+	if !reclaim {
+		ei.orphan = true
+	} else if !inst.fs.LeakOnUnlink { // else: injected leak, blocks stay allocated forever
+		if err := inst.freeAllBlocks(task, h, ei); err != kbase.EOK {
+			return err
+		}
+	}
+	if err := inst.writeDiskInode(task, h, ino, &ei.di); err != kbase.EOK {
+		return err
+	}
+	inst.imu.Lock()
+	delete(inst.inodes, ino)
+	inst.imu.Unlock()
+	if !reclaim {
+		return kbase.EOK
+	}
+	return inst.freeIno(task, h, ino)
 }
 
 func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, newDir *vfs.Inode, newName string) kbase.Errno {
@@ -456,25 +468,11 @@ func (o *inodeOps) Rename(task *kbase.Task, oldDir *vfs.Inode, oldName string, n
 			xei.di.Nlink--
 		}
 		if xei.di.Nlink == 0 {
-			if exVi.OpenCount() > 0 {
-				// Replaced-while-open target: orphan it like unlink
-				// does; Release reclaims at the last close.
-				xei.orphan = true
-			} else {
-				if !inst.fs.LeakOnUnlink {
-					if err := inst.freeAllBlocks(task, h, xei); err != kbase.EOK {
-						return err
-					}
-				}
-				if err := inst.freeIno(task, h, existing.Ino); err != kbase.EOK {
-					return err
-				}
-			}
-			inst.imu.Lock()
-			delete(inst.inodes, existing.Ino)
-			inst.imu.Unlock()
+			err = inst.dropInode(task, h, existing.Ino, xei, exVi)
+		} else {
+			err = inst.writeDiskInode(task, h, existing.Ino, &xei.di)
 		}
-		if err := inst.writeDiskInode(task, h, existing.Ino, &xei.di); err != kbase.EOK {
+		if err != kbase.EOK {
 			return err
 		}
 		newEnts = append(newEnts[:ni], newEnts[ni+1:]...)
@@ -692,10 +690,11 @@ func (fo *fileOps) Release(task *kbase.Task, ino *vfs.Inode) {
 			return
 		}
 	}
-	if err := inst.freeIno(task, h, ei.ino); err != kbase.EOK {
+	if err := inst.writeDiskInode(task, h, ei.ino, &ei.di); err != kbase.EOK {
 		return
 	}
-	if err := inst.writeDiskInode(task, h, ei.ino, &ei.di); err != kbase.EOK {
+	// The number goes back last: see dropInode.
+	if err := inst.freeIno(task, h, ei.ino); err != kbase.EOK {
 		return
 	}
 	h.Stop()

@@ -188,11 +188,10 @@ func (inst *fsInstance) zeroBlock(block uint64) kbase.Errno {
 		return err
 	}
 	defer bh.Put()
-	for i := range bh.Data {
-		bh.Data[i] = 0
-	}
-	bh.SetFlag(bufcache.BHNew | bufcache.BHUptodate | bufcache.BHMapped)
-	bh.MarkDirty()
+	bh.Modify(func(data []byte) {
+		clear(data)
+		bh.SetFlag(bufcache.BHNew | bufcache.BHUptodate | bufcache.BHMapped)
+	})
 	return kbase.EOK
 }
 
@@ -269,8 +268,7 @@ func (inst *fsInstance) writeFileRange(task *kbase.Task, h *journal.Handle, ei *
 		if err != kbase.EOK {
 			return n, err
 		}
-		copy(bh.Data[inBlock:], data[n:n+want])
-		bh.MarkDirty()
+		bh.Modify(func(b []byte) { copy(b[inBlock:], data[n:n+want]) })
 		_ = bh.Put() // brelse-style release; over-release is already oopsed
 		n += want
 	}
@@ -298,10 +296,7 @@ func (inst *fsInstance) truncateBlocks(task *kbase.Task, h *journal.Handle, ei *
 			if err != kbase.EOK {
 				return err
 			}
-			for i := tail; i < bs; i++ {
-				bh.Data[i] = 0
-			}
-			bh.MarkDirty()
+			bh.Modify(func(data []byte) { clear(data[tail:]) })
 			_ = bh.Put() // brelse-style release; over-release is already oopsed
 		}
 	}

@@ -91,9 +91,10 @@ func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kb
 }
 
 // Barrier enqueues a flush SQE with a completion dependency on every
-// SQE dispatched before it (IO_DRAIN semantics): the dispatcher
-// drains all in-flight work, then flushes the device, making every
-// earlier write durable before anything after the barrier starts.
+// SQE dispatched before it, from any batch (IO_DRAIN semantics):
+// Submit drains all in-flight work, then flushes the device, making
+// every earlier write durable before anything after the barrier
+// starts.
 func (b *Batch) Barrier(user uint64) {
 	clear(b.lastWrite)
 	b.enqueue(&sqe{op: OpFlush, user: user})
@@ -110,7 +111,8 @@ func (b *Batch) enqueueWrite(s *sqe) {
 		for i, p := range b.pending {
 			if p == prev {
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
-				b.e.completeMerged(prev)
+				prev.merged = true
+				b.e.complete(prev, kbase.EOK)
 				break
 			}
 		}
@@ -133,11 +135,12 @@ func (b *Batch) enqueue(s *sqe) {
 }
 
 // Submit dispatches every SQE enqueued since the last Submit and
-// returns the batch's Ticket. Submitting on a closed engine completes
-// the SQEs immediately with ENODEV; a containment boundary that
-// rejects the dispatch (contained fault, quarantined engine) likewise
-// completes every SQE with its typed errno through the normal CQE
-// path, so no submitter is left blocked in Wait.
+// returns the batch's Ticket, once the batch's barriers have run.
+// Submitting on a closed engine completes the SQEs immediately with
+// ENODEV; a containment boundary that rejects the dispatch (contained
+// fault, quarantined engine) likewise completes every SQE not yet
+// handed off with its typed errno, so no submitter is left blocked in
+// Wait and none completes twice.
 func (b *Batch) Submit() *Ticket {
 	if len(b.pending) == 0 {
 		return b.t
@@ -145,20 +148,22 @@ func (b *Batch) Submit() *Ticket {
 	batch := b.pending
 	b.pending = nil
 	clear(b.lastWrite)
-	if box := b.e.boundary.Load(); box != nil {
-		if err := box.b.Run("submit", func() kbase.Errno {
-			b.e.batches.Add(1)
-			b.e.send(batch)
-			return kbase.EOK
-		}); err != kbase.EOK {
-			for _, s := range batch {
-				b.e.complete(s, err)
-			}
-		}
+	sent := 0
+	run := func() kbase.Errno {
+		b.e.batches.Add(1)
+		b.e.dispatch(batch, &sent)
+		return kbase.EOK
+	}
+	box := b.e.boundary.Load()
+	if box == nil {
+		run()
 		return b.t
 	}
-	b.e.batches.Add(1)
-	b.e.send(batch)
+	if err := box.b.Run("submit", run); err != kbase.EOK {
+		for _, s := range batch[sent:] {
+			b.e.complete(s, err)
+		}
+	}
 	return b.t
 }
 
@@ -193,13 +198,6 @@ func (t *Ticket) deliver(idx int, cqe CQE) {
 		t.cond.Broadcast()
 	}
 	t.mu.Unlock()
-}
-
-// Done reports whether every submitted SQE has completed (polling).
-func (t *Ticket) Done() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.done == len(t.results)
 }
 
 // Wait blocks until all SQEs submitted so far complete, then returns

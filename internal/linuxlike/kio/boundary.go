@@ -8,11 +8,10 @@ import (
 // every caller crosses to reach the engine — routes through an
 // installable containment hook. A fault contained there (or a
 // quarantined engine compartment) must not strand submitters blocked
-// in Ticket.Wait, so the rejected SQEs are completed immediately with
-// the boundary's typed errno through the normal CQE path: Ticket
-// slots, polling ring, and callback all observe the failure exactly
-// like a device error. Satisfied by *compartment.Compartment via its
-// Run method.
+// in Ticket.Wait, so the SQEs not yet handed to a worker are completed
+// immediately with the boundary's typed errno through the normal CQE
+// path: the Ticket observes the failure exactly like a device error.
+// Satisfied by *compartment.Compartment via its Run method.
 type Boundary interface {
 	Run(op string, fn func() kbase.Errno) kbase.Errno
 }

@@ -1,13 +1,10 @@
 // Package kio is an io_uring-style asynchronous block I/O engine over
 // the simulated device stack: callers enqueue read/write/flush
-// submission-queue entries (SQEs) on a Batch, Submit hands them to a
-// dispatcher that fans work out to a configurable worker pool
-// (per-shard ordering preserved, write runs submitted through the
-// device plug so each shard lock is taken once per group), and every
-// completion is published as a CQE — into a lock-free completion ring
-// reaped by polling (Reap), through an optional callback
-// (Config.OnComplete), and into the submitter's Ticket for
-// Wait/Err-style joins.
+// submission-queue entries (SQEs) on a Batch, Submit fans the work out
+// to a configurable worker pool (per-shard ordering preserved, write
+// runs submitted through the device plug so each shard lock is taken
+// once per group), and every completion is published as a CQE into
+// the submitter's Ticket for Wait/Err-style joins.
 //
 // The engine exists to turn the paper's §4.3 performance claim into a
 // measured number: ownership-sharing interfaces are semantically
@@ -23,10 +20,11 @@
 // rather than asserted.
 //
 // Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue:
-// the dispatcher stalls the barrier until every previously dispatched
-// SQE has completed, executes the device flush itself, and only then
-// dispatches what follows. The journal's overlapped commit hangs its
-// commit-record ordering off exactly this.
+// the submitting goroutine waits until every previously dispatched
+// SQE, from any batch, has completed, executes the device flush
+// itself, and only then dispatches what follows; Submit returns once
+// its batch's barriers have run. The journal's overlapped commit hangs
+// its commit-record ordering off exactly this.
 package kio
 
 import (
@@ -43,8 +41,7 @@ import (
 var (
 	tpSubmit   = ktrace.New("kio:submit")   // a0=block, a1=op
 	tpComplete = ktrace.New("kio:complete") // a0=block, a1=errno
-	tpReap     = ktrace.New("kio:reap")     // a0=CQEs reaped
-	tpBarrier  = ktrace.New("kio:barrier")  // a0=SQEs drained ahead of the barrier
+	tpBarrier  = ktrace.New("kio:barrier")  // a1=flush errno
 )
 
 // OpBatch is the latency-plane op for one submit→wait batch (exported
@@ -106,16 +103,6 @@ type Config struct {
 	// hash to workers by device shard, so per-block ordering is
 	// preserved regardless of pool size.
 	Workers int
-	// CQSlots is the completion-ring capacity, rounded up to a power
-	// of two (default 1024). When completions outrun reaping the
-	// oldest unreaped CQEs are overwritten and counted as overflows —
-	// Ticket joins and callbacks never lose completions, only the
-	// polling ring does.
-	CQSlots int
-	// OnComplete, when set, is invoked on the completing worker for
-	// every CQE (callback mode). CQEs are still published to the
-	// polling ring.
-	OnComplete func(CQE)
 	// Checker, when set, supplies the ownership checker used to mint
 	// the fresh pages WriteOwned completions return. When nil, owned
 	// completions return no page (CQE.Page is the zero handle).
@@ -125,9 +112,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.CQSlots <= 0 {
-		c.CQSlots = 1024
 	}
 }
 
@@ -139,14 +123,12 @@ func (c *Config) fill() {
 type Stats struct {
 	Submitted       uint64 // SQEs accepted
 	Completed       uint64 // CQEs published
-	Reaped          uint64 // CQEs consumed via Reap
 	Merged          uint64 // duplicate-block writes merged at submit
 	Batches         uint64 // Submit calls that dispatched at least one SQE
 	Barriers        uint64 // flush SQEs executed
 	BytesCopied     uint64 // payload bytes copied by Batch.Write
 	CopiesPerformed uint64 // Batch.Write submissions (one copy each)
 	CopiesAvoided   uint64 // Batch.WriteOwned submissions (zero copies)
-	CQOverflows     uint64 // CQEs overwritten before being reaped
 }
 
 // CQE is one completion-queue entry.
@@ -170,15 +152,16 @@ type CQE struct {
 
 // sqe is one submission-queue entry, engine-internal.
 type sqe struct {
-	op    Op
-	block uint64
-	user  uint64
-	buf   []byte // read destination or write payload (engine-owned for writes)
-	owned bool   // write payload arrived by ownership move
-	page  own.Owned[[]byte]
-	t     *Ticket
-	idx   int   // slot in t.results
-	tNs   int64 // submit timestamp for the sqe latency histogram (0 = unsampled)
+	op     Op
+	block  uint64
+	user   uint64
+	buf    []byte // read destination or write payload (engine-owned for writes)
+	owned  bool   // write payload arrived by ownership move
+	merged bool   // superseded at enqueue; completes without device I/O
+	page   own.Owned[[]byte]
+	t      *Ticket
+	idx    int   // slot in t.results
+	tNs    int64 // submit timestamp for the sqe latency histogram (0 = unsampled)
 }
 
 // Engine is the async I/O engine. All methods are safe for concurrent
@@ -189,16 +172,16 @@ type Engine struct {
 	ow      ownedWriter // nil when backend lacks the zero-copy path
 	pl      plugger     // nil when backend lacks the plug path
 
-	submitCh chan []*sqe
+	// mu is the dispatch lock. Submit holds it while it hands a
+	// batch to the workers and runs the batch's barriers, so batches
+	// dispatch in one global order and a barrier drains every SQE
+	// dispatched before it; Close holds it while shutting down.
+	// Workers never take mu, so a send that blocks on a full worker
+	// channel, or a barrier waiting on inflight, always makes progress.
+	mu       sync.Mutex
+	closed   bool
 	workerCh []chan []*sqe
-	inflight sync.WaitGroup // dispatched worker groups; Add/Wait on dispatcher only
-	done     chan struct{}  // closed when the dispatcher has drained
-
-	cq *cq
-
-	// smu serializes Submit sends against Close closing submitCh.
-	smu    sync.RWMutex
-	closed bool
+	inflight sync.WaitGroup // dispatched worker groups; Add/Wait under mu
 
 	// boundary, when installed, wraps batch submission in a
 	// crash-containment compartment (see boundary.go).
@@ -206,7 +189,6 @@ type Engine struct {
 
 	submitted atomic.Uint64
 	completed atomic.Uint64
-	reaped    atomic.Uint64
 	merged    atomic.Uint64
 	batches   atomic.Uint64
 	barriers  atomic.Uint64
@@ -221,16 +203,13 @@ type Engine struct {
 }
 
 // New starts an engine over backend. Close must be called to stop the
-// dispatcher and worker goroutines.
+// worker goroutines.
 func New(backend Backend, cfg Config) *Engine {
 	cfg.fill()
 	e := &Engine{
 		cfg:      cfg,
 		backend:  backend,
-		submitCh: make(chan []*sqe, 64),
 		workerCh: make([]chan []*sqe, cfg.Workers),
-		done:     make(chan struct{}),
-		cq:       newCQ(cfg.CQSlots),
 		sqeHist:  ktrace.NewHistogram(),
 	}
 	if ow, ok := backend.(ownedWriter); ok {
@@ -243,40 +222,25 @@ func New(backend Backend, cfg Config) *Engine {
 		e.workerCh[i] = make(chan []*sqe, 8)
 		go e.worker(e.workerCh[i])
 	}
-	go e.dispatch()
 	return e
 }
 
 // BlockSize returns the backend's block size.
 func (e *Engine) BlockSize() int { return e.backend.BlockSize() }
 
-// Close drains every queued submission, stops the dispatcher and
-// workers, and waits for them. Submissions after Close complete
-// immediately with ENODEV.
+// Close waits for every dispatched SQE to complete and stops the
+// workers. Submissions after Close complete immediately with ENODEV.
 func (e *Engine) Close() {
-	e.smu.Lock()
-	already := e.closed
-	e.closed = true
-	if !already {
-		close(e.submitCh)
-	}
-	e.smu.Unlock()
-	<-e.done
-}
-
-// send hands a batch to the dispatcher, or fails it with ENODEV when
-// the engine is closed.
-func (e *Engine) send(batch []*sqe) {
-	e.smu.RLock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.smu.RUnlock()
-		for _, s := range batch {
-			e.complete(s, kbase.ENODEV)
-		}
 		return
 	}
-	e.submitCh <- batch
-	e.smu.RUnlock()
+	e.closed = true
+	for _, ch := range e.workerCh {
+		close(ch)
+	}
+	e.inflight.Wait()
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -284,14 +248,12 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Submitted:       e.submitted.Load(),
 		Completed:       e.completed.Load(),
-		Reaped:          e.reaped.Load(),
 		Merged:          e.merged.Load(),
 		Batches:         e.batches.Load(),
 		Barriers:        e.barriers.Load(),
 		BytesCopied:     e.copied.Load(),
 		CopiesPerformed: e.copies.Load(),
 		CopiesAvoided:   e.avoided.Load(),
-		CQOverflows:     e.cq.overflows.Load(),
 	}
 }
 
@@ -301,58 +263,59 @@ func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
 	s := e.Stats()
 	emit("submitted", s.Submitted)
 	emit("completed", s.Completed)
-	emit("reaped", s.Reaped)
 	emit("merged", s.Merged)
 	emit("batches", s.Batches)
 	emit("barriers", s.Barriers)
 	emit("bytes_copied", s.BytesCopied)
 	emit("copies_performed", s.CopiesPerformed)
 	emit("copies_avoided", s.CopiesAvoided)
-	emit("cq_overflows", s.CQOverflows)
 }
 
-// dispatch is the single dispatcher goroutine: it consumes submitted
-// batches in order, fans non-barrier runs out to the workers (grouped
-// by worker so per-block FIFO order is preserved), and executes
-// barriers itself after draining everything in flight.
-func (e *Engine) dispatch() {
-	defer func() {
-		for _, ch := range e.workerCh {
-			close(ch)
+// dispatch hands batch to the workers on the submitting goroutine,
+// under the dispatch lock. Runs of non-barrier SQEs fan out grouped by
+// worker, so per-block FIFO order is preserved; a barrier first waits
+// for everything in flight, then flushes and completes in place.
+// *sent counts the leading SQEs already handed off or completed, so a
+// fault contained mid-dispatch fails only the rest.
+func (e *Engine) dispatch(batch []*sqe, sent *int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		for _, s := range batch {
+			e.complete(s, kbase.ENODEV)
 		}
-		e.inflight.Wait()
-		close(e.done)
-	}()
-	for batch := range e.submitCh {
-		i := 0
-		for i < len(batch) {
-			if batch[i].op == OpFlush {
-				e.inflight.Wait()
-				tpBarrier.Emit(0, uint64(i), 0)
-				e.barriers.Add(1)
-				e.complete(batch[i], e.backend.Flush())
-				i++
-				continue
-			}
-			// A run of non-barrier SQEs: group by worker. Blocks hash
-			// to workers through their device shard, so two SQEs on
-			// one block always reach the same worker, in order.
-			groups := make([][]*sqe, e.cfg.Workers)
-			j := i
-			for j < len(batch) && batch[j].op != OpFlush {
-				w := e.workerFor(batch[j].block)
-				groups[w] = append(groups[w], batch[j])
-				j++
-			}
-			for w, g := range groups {
-				if len(g) == 0 {
-					continue
-				}
+		*sent = len(batch)
+		return
+	}
+	for i := 0; i < len(batch); {
+		if batch[i].op == OpFlush {
+			e.inflight.Wait()
+			err := e.backend.Flush()
+			tpBarrier.Emit(0, 0, uint64(err))
+			e.barriers.Add(1)
+			e.complete(batch[i], err)
+			i++
+			*sent = i
+			continue
+		}
+		// A run of non-barrier SQEs: group by worker. Blocks hash to
+		// workers through their device shard, so two SQEs on one block
+		// always reach the same worker, in order.
+		groups := make([][]*sqe, e.cfg.Workers)
+		j := i
+		for j < len(batch) && batch[j].op != OpFlush {
+			w := e.workerFor(batch[j].block)
+			groups[w] = append(groups[w], batch[j])
+			j++
+		}
+		for w, g := range groups {
+			if len(g) > 0 {
 				e.inflight.Add(1)
 				e.workerCh[w] <- g
 			}
-			i = j
 		}
+		i = j
+		*sent = i
 	}
 }
 
@@ -426,11 +389,10 @@ func (e *Engine) noteLatency(s *sqe) {
 	}
 }
 
-// complete publishes one completion: Ticket slot, polling ring,
-// optional callback, tracepoint.
+// complete publishes one completion into the submitter's Ticket.
 func (e *Engine) complete(s *sqe, err kbase.Errno) {
 	e.noteLatency(s)
-	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: err}
+	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: err, Merged: s.merged}
 	if s.owned {
 		// Model-1 obligation: the engine received ownership at submit
 		// and must free it; a fresh page goes back in the CQE so the
@@ -440,51 +402,12 @@ func (e *Engine) complete(s *sqe, err kbase.Errno) {
 			cqe.Page = own.New(e.cfg.Checker, "kio:page", make([]byte, e.backend.BlockSize()))
 		}
 	}
+	if s.merged {
+		e.merged.Add(1)
+	}
 	e.completed.Add(1)
 	if tpComplete.Enabled() {
 		tpComplete.Emit(0, s.block, uint64(err))
 	}
 	s.t.deliver(s.idx, cqe)
-	e.cq.push(cqe)
-	if e.cfg.OnComplete != nil {
-		e.cfg.OnComplete(cqe)
-	}
-}
-
-// completeMerged publishes a merged-write completion (no device I/O).
-func (e *Engine) completeMerged(s *sqe) {
-	e.noteLatency(s)
-	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: kbase.EOK, Merged: true}
-	if s.owned {
-		s.page.Free()
-		if e.cfg.Checker != nil {
-			cqe.Page = own.New(e.cfg.Checker, "kio:page", make([]byte, e.backend.BlockSize()))
-		}
-	}
-	e.merged.Add(1)
-	e.completed.Add(1)
-	if tpComplete.Enabled() {
-		tpComplete.Emit(0, s.block, 0)
-	}
-	s.t.deliver(s.idx, cqe)
-	e.cq.push(cqe)
-	if e.cfg.OnComplete != nil {
-		e.cfg.OnComplete(cqe)
-	}
-}
-
-// Reap consumes up to maxN completions from the polling ring in
-// completion order. It returns nil when the ring is empty. Reap is
-// the polling mode of the CQ; Ticket.Wait and OnComplete observe the
-// same completions independently, so a deployment picks whichever
-// mode fits and the others stay consistent.
-func (e *Engine) Reap(maxN int) []CQE {
-	out := e.cq.reap(maxN)
-	if n := len(out); n > 0 {
-		e.reaped.Add(uint64(n))
-		if tpReap.Enabled() {
-			tpReap.Emit(0, uint64(n), 0)
-		}
-	}
-	return out
 }

@@ -3,7 +3,9 @@ package kio
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"safelinux/internal/linuxlike/blockdev"
 	"safelinux/internal/linuxlike/kbase"
@@ -242,81 +244,6 @@ func TestDuplicateWriteMerge(t *testing.T) {
 	}
 }
 
-func TestReapPollingMode(t *testing.T) {
-	e, _ := testEngine(t, 64, Config{})
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 10; blk++ {
-		b.Write(blk, fill(e.BlockSize(), byte(blk)), blk)
-	}
-	b.Submit().Wait()
-	var got []CQE
-	for len(got) < 10 {
-		cqes := e.Reap(4)
-		if cqes == nil && len(got) < 10 {
-			continue
-		}
-		if len(cqes) > 4 {
-			t.Fatalf("Reap(4) returned %d", len(cqes))
-		}
-		got = append(got, cqes...)
-	}
-	if len(got) != 10 {
-		t.Fatalf("reaped %d CQEs, want 10", len(got))
-	}
-	seen := make(map[uint64]bool)
-	for _, cqe := range got {
-		seen[cqe.User] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("reaped %d distinct completions, want 10", len(seen))
-	}
-	if e.Stats().Reaped != 10 {
-		t.Fatalf("Reaped = %d, want 10", e.Stats().Reaped)
-	}
-	if e.Reap(4) != nil {
-		t.Fatal("empty ring reaped non-nil")
-	}
-}
-
-func TestCQOverflowCounted(t *testing.T) {
-	e, _ := testEngine(t, 256, Config{CQSlots: 8})
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 100; blk++ {
-		b.Write(blk, fill(e.BlockSize(), 1), blk)
-	}
-	b.Submit().Wait()
-	reaped := len(e.Reap(1000))
-	st := e.Stats()
-	if uint64(reaped)+st.CQOverflows != 100 {
-		t.Fatalf("reaped %d + overflows %d != 100", reaped, st.CQOverflows)
-	}
-	if st.CQOverflows == 0 {
-		t.Fatal("an 8-slot ring absorbed 100 completions without overflow")
-	}
-}
-
-func TestCallbackMode(t *testing.T) {
-	var mu sync.Mutex
-	var calls []CQE
-	cfg := Config{OnComplete: func(cqe CQE) {
-		mu.Lock()
-		calls = append(calls, cqe)
-		mu.Unlock()
-	}}
-	e, _ := testEngine(t, 32, cfg)
-	b := e.NewBatch()
-	for blk := uint64(0); blk < 8; blk++ {
-		b.Write(blk, fill(e.BlockSize(), 1), blk)
-	}
-	b.Barrier(100)
-	b.Submit().Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 9 {
-		t.Fatalf("callback fired %d times, want 9", len(calls))
-	}
-}
-
 func TestErrorReporting(t *testing.T) {
 	e, dev := testEngine(t, 32, Config{})
 	dev.MarkBad(4)
@@ -384,10 +311,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 // TestConcurrentBatches hammers the engine from many goroutines, each
 // with its own batch and disjoint block range — the -race target for
-// the dispatcher/worker/CQ machinery.
+// the dispatch/worker machinery.
 func TestConcurrentBatches(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
-	e, _ := testEngine(t, 1024, Config{Workers: 8, CQSlots: 4096, Checker: ck})
+	e, _ := testEngine(t, 1024, Config{Workers: 8, Checker: ck})
 	const gor = 8
 	const perG = 16
 	var wg sync.WaitGroup
@@ -426,8 +353,6 @@ func TestConcurrentBatches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for e.Reap(100) != nil {
-	}
 	if n := ck.Count(); n != 0 {
 		t.Fatalf("checker recorded %d violations: %v", n, ck.Violations()[:min(5, n)])
 	}
@@ -491,3 +416,169 @@ func (p plainBackend) Blocks() uint64                          { return p.d.Bloc
 func (p plainBackend) Read(b uint64, buf []byte) kbase.Errno   { return p.d.Read(b, buf) }
 func (p plainBackend) Write(b uint64, data []byte) kbase.Errno { return p.d.Write(b, data) }
 func (p plainBackend) Flush() kbase.Errno                      { return p.d.Flush() }
+
+// recoverBoundary contains a panic the way a compartment does: the
+// fault becomes EFAULT.
+type recoverBoundary struct{}
+
+func (recoverBoundary) Run(op string, fn func() kbase.Errno) (err kbase.Errno) {
+	defer func() {
+		if recover() != nil {
+			err = kbase.EFAULT
+		}
+	}()
+	return fn()
+}
+
+// panicFlushBackend is a plain backend whose Flush panics while armed.
+type panicFlushBackend struct {
+	plainBackend
+	armed atomic.Bool
+}
+
+func (p *panicFlushBackend) Flush() kbase.Errno {
+	if p.armed.Load() {
+		panic("injected flush fault")
+	}
+	return p.plainBackend.Flush()
+}
+
+// TestBarrierFlushPanicContained faults the device flush in the middle
+// of a batch: the writes ahead of the barrier are already with the
+// workers, the barrier and what follows are not. Each SQE must
+// complete exactly once and the engine must stay usable.
+func TestBarrierFlushPanicContained(t *testing.T) {
+	ck := own.NewChecker(own.PolicyRecord)
+	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
+	be := &panicFlushBackend{plainBackend: plainBackend{dev}}
+	be.armed.Store(true)
+	e := New(be, Config{Workers: 4, Checker: ck})
+	e.SetBoundary(recoverBoundary{})
+
+	b := e.NewBatch()
+	for blk := uint64(0); blk < 8; blk++ {
+		page := own.New(ck, "test:page", fill(e.BlockSize(), byte(blk)))
+		if err := b.WriteOwned(blk, page, blk); err != kbase.EOK {
+			t.Fatalf("WriteOwned(%d): %v", blk, err)
+		}
+	}
+	b.Barrier(100)
+	b.WriteOwned(20, own.New(ck, "test:page", fill(e.BlockSize(), 0xEE)), 200)
+	tk := b.Submit()
+	joined := make(chan []CQE)
+	go func() { joined <- tk.Wait() }()
+	var cqes []CQE
+	select {
+	case cqes = <-joined:
+	case <-time.After(5 * time.Second):
+		// Wait joins on an exact count, so it hangs if an SQE
+		// completes twice or never.
+		t.Fatalf("Wait hung: %d of %d SQEs completed", e.Stats().Completed, e.Stats().Submitted)
+	}
+	if len(cqes) != 10 {
+		t.Fatalf("got %d CQEs, want 10", len(cqes))
+	}
+	for i, cqe := range cqes {
+		want := kbase.EOK
+		if i >= 8 {
+			want = kbase.EFAULT
+		}
+		if cqe.Err != want {
+			t.Errorf("CQE %d (user %d): %v, want %v", i, cqe.User, cqe.Err, want)
+		}
+		if cqe.Page.Valid() {
+			cqe.Page.Free()
+		}
+	}
+	if st := e.Stats(); st.Completed != st.Submitted || st.Completed != 10 {
+		t.Fatalf("completed %d of %d submitted, want 10 of 10", st.Completed, st.Submitted)
+	}
+	// A second completion of a moved page would free it twice.
+	if n := ck.Count(); n != 0 {
+		t.Fatalf("checker recorded %d violations: %v", n, ck.Violations())
+	}
+
+	// The dispatch lock was released: the engine still serves.
+	be.armed.Store(false)
+	b2 := e.NewBatch()
+	b2.Write(21, fill(e.BlockSize(), 1), 0)
+	b2.Barrier(0)
+	if err := b2.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("submit after contained fault: %v", err)
+	}
+	e.Close()
+	b3 := e.NewBatch()
+	b3.Write(22, fill(e.BlockSize(), 1), 0)
+	if err := b3.Submit().Err(); err != kbase.ENODEV {
+		t.Fatalf("post-Close submit: %v, want ENODEV", err)
+	}
+	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
+		t.Fatalf("pages leaked: %v", leaks)
+	}
+}
+
+// gatedBackend is a plain backend whose writes block until released,
+// and which logs when each write and flush finishes.
+type gatedBackend struct {
+	plainBackend
+	release chan struct{}
+	mu      sync.Mutex
+	log     []Op
+}
+
+func (g *gatedBackend) note(op Op) {
+	g.mu.Lock()
+	g.log = append(g.log, op)
+	g.mu.Unlock()
+}
+
+func (g *gatedBackend) Write(b uint64, data []byte) kbase.Errno {
+	<-g.release
+	defer g.note(OpWrite)
+	return g.plainBackend.Write(b, data)
+}
+
+func (g *gatedBackend) Flush() kbase.Errno {
+	defer g.note(OpFlush)
+	return g.plainBackend.Flush()
+}
+
+// TestBarrierDrainsOtherBatches checks IO_DRAIN across batches: a
+// barrier submitted on one batch waits for a write still in flight
+// from another, and Submit returns only after its barrier has run.
+func TestBarrierDrainsOtherBatches(t *testing.T) {
+	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
+	be := &gatedBackend{plainBackend: plainBackend{dev}, release: make(chan struct{})}
+	e := New(be, Config{Workers: 4})
+	defer e.Close()
+
+	w := e.NewBatch()
+	w.Write(5, fill(e.BlockSize(), 0x55), 1)
+	wt := w.Submit() // no barrier: returns with the write in flight
+
+	submitted := make(chan struct{})
+	go func() {
+		b := e.NewBatch()
+		b.Barrier(2)
+		b.Submit()
+		close(submitted)
+	}()
+	select {
+	case <-submitted:
+		t.Fatal("barrier Submit returned while another batch's write was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(be.release)
+	<-submitted
+	// Submit returned after the barrier ran, so the flush is logged
+	// without waiting on any ticket.
+	be.mu.Lock()
+	log := append([]Op(nil), be.log...)
+	be.mu.Unlock()
+	if len(log) != 2 || log[0] != OpWrite || log[1] != OpFlush {
+		t.Fatalf("device saw %v, want [write flush]", log)
+	}
+	if err := wt.Err(); err != kbase.EOK {
+		t.Fatalf("write: %v", err)
+	}
+}

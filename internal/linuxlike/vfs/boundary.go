@@ -123,7 +123,10 @@ func (v *VFS) Open(task *kbase.Task, path string, flags int) (int, kbase.Errno) 
 	return guardRet(v, task, opOpen, func() (int, kbase.Errno) { return v.doOpen(task, path, flags) })
 }
 
-// Close closes a descriptor.
+// Close closes a descriptor as task 0. A last close runs the file
+// system's Release hook, and lockdep folds every task-0 caller into
+// one task, so concurrent callers must use CloseAs with their own task
+// or lockdep records false inversions between them.
 func (v *VFS) Close(fd int) kbase.Errno {
 	return v.guard(nil, opClose, func() kbase.Errno { return v.doClose(nil, fd) })
 }

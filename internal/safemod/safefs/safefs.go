@@ -250,8 +250,8 @@ func (inst *fsInstance) do(r Record) kbase.Errno {
 
 // inodeOps implements vfs.TypedInodeOps: safefs is a converted file
 // system, so Lookup/Create/Mkdir return typedapi.Result and no errno
-// ever rides inside an inode pointer. inodeFor registers it through
-// vfs.AdaptTyped for legacy callers.
+// ever rides inside an inode pointer. VFS dispatches to it directly;
+// no legacy adapter sits in between.
 type inodeOps struct {
 	inst *fsInstance
 }

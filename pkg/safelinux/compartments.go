@@ -174,9 +174,7 @@ func (k *Kernel) restartBuf(task *kbase.Task) kbase.Errno {
 // out of a poisoned engine must not escape the restart path.
 func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	old := k.ioEngine
-	k.ioEngine = kio.New(k.rootDev, kio.Config{
-		Workers: k.cfg.IOWorkers, Checker: k.Checker,
-	})
+	k.ioEngine = kio.New(k.rootDev, kio.Config{Checker: k.Checker})
 	if c := k.Plane.Get("kio"); c != nil {
 		k.ioEngine.SetBoundary(c)
 	}

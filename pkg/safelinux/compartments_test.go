@@ -264,7 +264,7 @@ func TestHotSwapFSUnderLoad(t *testing.T) {
 				if _, err := k.VFS.Write(task, fd, []byte(path)); err != kbase.EOK {
 					errs <- fmt.Sprintf("write %s: %v", path, err)
 				}
-				if err := k.VFS.Close(fd); err != kbase.EOK {
+				if err := k.VFS.CloseAs(task, fd); err != kbase.EOK {
 					errs <- fmt.Sprintf("close %s: %v", path, err)
 				}
 			}

@@ -42,8 +42,6 @@ type Config struct {
 	// journal commits overlap log-block submission with checksumming,
 	// and buffer-cache writeback goes through batched async writes.
 	AsyncIO bool
-	// IOWorkers sizes the kio worker pool (default 4, AsyncIO only).
-	IOWorkers int
 	// Link is the fault model for the link between the kernel's two
 	// hosts. The zero value selects the historical default of a
 	// 1-jiffy, 1%-loss link.
@@ -149,9 +147,7 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	// writeback). The mount recovered the journal synchronously above,
 	// so the engine only ever sees steady-state traffic.
 	if cfg.AsyncIO {
-		k.ioEngine = kio.New(k.rootDev, kio.Config{
-			Workers: cfg.IOWorkers, Checker: k.Checker,
-		})
+		k.ioEngine = kio.New(k.rootDev, kio.Config{Checker: k.Checker})
 		if root, err := k.VFS.Resolve(k.Task, "/"); err == kbase.EOK {
 			if inst, ok := extlike.InstanceOf(root.Sb); ok {
 				inst.Journal().SetEngine(k.ioEngine)

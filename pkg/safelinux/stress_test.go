@@ -63,16 +63,16 @@ func stressFS(t *testing.T, v *vfs.VFS, setupTask *kbase.Task, workers, rounds i
 				}
 				if _, err := v.Pwrite(task, fd, payload, 0); err != kbase.EOK {
 					t.Errorf("worker %d write: %v", id, err)
-					v.Close(fd)
+					v.CloseAs(task, fd)
 					return
 				}
 				n, err := v.Pread(task, fd, buf, 0)
 				if err != kbase.EOK || string(buf[:n]) != string(payload) {
 					t.Errorf("worker %d read back %q err %v, want %q", id, buf[:n], err, payload)
-					v.Close(fd)
+					v.CloseAs(task, fd)
 					return
 				}
-				v.Close(fd)
+				v.CloseAs(task, fd)
 
 				// Cross-worker shared read.
 				sfd, err := v.Open(task, "/shared", vfs.ORdOnly)
@@ -83,10 +83,10 @@ func stressFS(t *testing.T, v *vfs.VFS, setupTask *kbase.Task, workers, rounds i
 				n, err = v.Pread(task, sfd, buf, 0)
 				if err != kbase.EOK || string(buf[:n]) != string(shared) {
 					t.Errorf("worker %d shared read %q err %v", id, buf[:n], err)
-					v.Close(sfd)
+					v.CloseAs(task, sfd)
 					return
 				}
-				v.Close(sfd)
+				v.CloseAs(task, sfd)
 
 				if _, err := v.Stat(task, path); err != kbase.EOK {
 					t.Errorf("worker %d stat: %v", id, err)
