@@ -57,7 +57,8 @@ bench-trace:
 
 # Async I/O engine: sync vs async at QD 1/8/32, copy accounting, and
 # the tracepoint gate share (see DESIGN.md "Async I/O" and
-# BENCH_kio.json; single-core hosts — read the caveat field).
+# BENCH_kio.json). Fails if the copy counts or the simulated
+# device-time win of batching regress.
 bench-kio:
 	$(GO) run ./cmd/kiobench -out BENCH_kio.json
 

@@ -24,7 +24,7 @@ var sleeperSeeds = map[string]bool{
 	"(*safelinux/internal/linuxlike/journal.Journal).Commit":     true,
 	"(*safelinux/internal/linuxlike/journal.Journal).Checkpoint": true,
 	// kio: Wait blocks on completions; Submit takes the dispatch lock
-	// and runs the batch's barriers before it returns.
+	// and issues the batch's device I/O before it returns.
 	"(*safelinux/internal/linuxlike/kio.Ticket).Wait":  true,
 	"(*safelinux/internal/linuxlike/kio.Batch).Submit": true,
 	// Standard library blocking synchronization.

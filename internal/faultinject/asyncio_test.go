@@ -23,7 +23,7 @@ func asyncJournalRig(t *testing.T) (*blockdev.Device, *bufcache.Cache, *journal.
 	if err := j.Format(); err != kbase.EOK {
 		t.Fatalf("Format: %v", err)
 	}
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev, kio.Config{})
 	t.Cleanup(e.Close)
 	j.SetEngine(e)
 	return dev, cache, j, e

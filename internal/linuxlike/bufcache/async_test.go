@@ -12,7 +12,7 @@ import (
 func asyncCache(t *testing.T) (*Cache, *kio.Engine) {
 	t.Helper()
 	c := testCache(t, 0)
-	e := kio.New(c.Device(), kio.Config{Workers: 4})
+	e := kio.New(c.Device(), kio.Config{})
 	t.Cleanup(e.Close)
 	c.SetEngine(e)
 	return c, e
@@ -89,7 +89,7 @@ func TestSyncDirtyAsyncMatchesSync(t *testing.T) {
 	image := func(async bool) []byte {
 		c := testCache(t, 0)
 		if async {
-			e := kio.New(c.Device(), kio.Config{Workers: 4})
+			e := kio.New(c.Device(), kio.Config{})
 			defer e.Close()
 			c.SetEngine(e)
 		}
@@ -146,7 +146,7 @@ func (h heldWriteBackend) Write(b uint64, data []byte) kbase.Errno {
 func TestRedirtyDuringWritebackStaysDirty(t *testing.T) {
 	c := testCache(t, 0)
 	be := heldWriteBackend{dev: c.Device(), entered: make(chan struct{}, 1), resume: make(chan struct{})}
-	e := kio.New(be, kio.Config{Workers: 1})
+	e := kio.New(be, kio.Config{})
 	t.Cleanup(e.Close)
 	c.SetEngine(e)
 
@@ -182,7 +182,7 @@ func TestRedirtyDuringWritebackStaysDirty(t *testing.T) {
 func TestOlderWritebackNeverLandsLast(t *testing.T) {
 	c := testCache(t, 0)
 	be := heldWriteBackend{dev: c.Device(), entered: make(chan struct{}, 1), resume: make(chan struct{})}
-	e := kio.New(be, kio.Config{Workers: 1})
+	e := kio.New(be, kio.Config{})
 	t.Cleanup(e.Close)
 	c.SetEngine(e)
 

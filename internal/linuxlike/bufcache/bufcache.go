@@ -639,9 +639,8 @@ func (c *Cache) doSyncDirtyCtx(task *kbase.Task) kbase.Errno {
 }
 
 // syncDirtyAsync is SyncDirty's engine path: every dirty buffer is
-// submitted (incrementally, so the workers start writing while later
-// buffers are still being flag-checked) before any completion is
-// reaped, and one barrier SQE replaces the trailing device flush.
+// enqueued on one batch, issued as one plugged run, and one barrier
+// SQE replaces the trailing device flush.
 func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*BufferHead) kbase.Errno {
 	bt := kio.OpBatch.Begin(task)
 	defer bt.End()
@@ -667,7 +666,6 @@ func (c *Cache) syncDirtyAsync(task *kbase.Task, e *kio.Engine, toWrite []*Buffe
 		}
 		queued = append(queued, bh)
 		gens = append(gens, gen)
-		b.Submit()
 	}
 	b.Barrier(0)
 	for _, cqe := range b.Submit().Wait() {

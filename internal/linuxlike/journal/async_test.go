@@ -15,7 +15,7 @@ import (
 func asyncSetup(t *testing.T) (*blockdev.Device, *bufcache.Cache, *Journal, *kio.Engine) {
 	t.Helper()
 	dev, cache, j := testSetup(t)
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev, kio.Config{})
 	t.Cleanup(e.Close)
 	j.SetEngine(e)
 	return dev, cache, j, e
@@ -30,7 +30,7 @@ func TestAsyncCommitEquivalentToSync(t *testing.T) {
 		dev, cache, j := testSetup(t)
 		var e *kio.Engine
 		if async {
-			e = kio.New(dev, kio.Config{Workers: 4})
+			e = kio.New(dev, kio.Config{})
 			defer e.Close()
 			j.SetEngine(e)
 		}

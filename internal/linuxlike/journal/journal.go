@@ -158,11 +158,10 @@ func (j *Journal) CollectMetrics(emit func(name string, value uint64)) {
 	emit("revokes", st.Revokes)
 }
 
-// SetEngine switches Commit to the overlapped async path: log-block
-// writes are submitted to the kio engine incrementally while the
-// descriptor and checksum are still being built, and Commit blocks
-// only on the two barriers the jbd2 protocol requires (body before
-// commit record, commit record before returning). The engine must
+// SetEngine switches Commit to the batched kio path: the log blocks
+// go to the engine as one batch, and Commit orders only on the two
+// barriers the jbd2 protocol requires (body before commit record,
+// commit record before returning). The engine must
 // drive the same device the journal's cache does. Pass nil to restore
 // the synchronous path.
 func (j *Journal) SetEngine(e *kio.Engine) {
@@ -470,15 +469,14 @@ func (j *Journal) finishCommitLocked(tx *Tx, finish func(kbase.Errno) kbase.Errn
 	return finish(homeErr)
 }
 
-// commitAsyncLocked is the overlapped commit path (engine set): the
-// transaction's data blocks are submitted to the kio engine one by one
-// — the engine's workers write them out while this goroutine is still
-// checksumming the next buffer and building the descriptor — then a
-// single barrier SQE stands in for the body flush. Only the commit
-// record keeps a strict dependency: it is submitted after the body
-// barrier completes and followed by its own barrier, preserving
-// exactly the jbd2 ordering (body durable before commit record, commit
-// record durable before Commit returns). Caller holds j.mu and the
+// commitAsyncLocked is the batched commit path (engine set): the
+// transaction's data blocks, descriptor and revoke block are enqueued
+// on one kio batch and issued as one plugged run, then a single
+// barrier SQE stands in for the body flush. Only the commit record
+// keeps a strict dependency: it is submitted after the body barrier
+// completes and followed by its own barrier, preserving exactly the
+// jbd2 ordering (body durable before commit record, commit record
+// durable before Commit returns). Caller holds j.mu and the
 // gate; the gate is what lets the engine read bh.Data without a copy
 // racing anything — no handle can mutate a committing buffer.
 func (j *Journal) commitAsyncLocked(task *kbase.Task, tx *Tx, finish func(kbase.Errno) kbase.Errno, pos uint64) kbase.Errno {
@@ -511,9 +509,6 @@ func (j *Journal) commitAsyncLocked(task *kbase.Task, tx *Tx, finish func(kbase.
 			drain(body)
 			return finish(err)
 		}
-		// Incremental dispatch: the engine starts on this block while
-		// the loop checksums it and moves to the next.
-		body.Submit()
 		crc.Write(bh.Data)
 		j.stats.BlocksLogged++
 	}

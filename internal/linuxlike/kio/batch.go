@@ -11,8 +11,8 @@ import (
 // Batch is a submission queue under construction: enqueue SQEs, then
 // Submit to dispatch them. A Batch is single-goroutine state; Submit
 // may be called repeatedly (each call dispatches the SQEs enqueued
-// since the last one) and every call returns the same Ticket, so a
-// producer can overlap enqueueing with in-flight I/O.
+// since the last one) and every call returns the same Ticket, whose
+// Wait joins everything submitted through the batch.
 type Batch struct {
 	e       *Engine
 	pending []*sqe
@@ -91,10 +91,9 @@ func (b *Batch) WriteOwned(block uint64, page own.Owned[[]byte], user uint64) kb
 }
 
 // Barrier enqueues a flush SQE with a completion dependency on every
-// SQE dispatched before it, from any batch (IO_DRAIN semantics):
-// Submit drains all in-flight work, then flushes the device, making
-// every earlier write durable before anything after the barrier
-// starts.
+// SQE dispatched before it, from any batch (IO_DRAIN semantics): the
+// flush runs once all earlier work has completed, making every earlier
+// write durable before anything after the barrier starts.
 func (b *Batch) Barrier(user uint64) {
 	clear(b.lastWrite)
 	b.enqueue(&sqe{op: OpFlush, user: user})
@@ -134,13 +133,12 @@ func (b *Batch) enqueue(s *sqe) {
 	}
 }
 
-// Submit dispatches every SQE enqueued since the last Submit and
-// returns the batch's Ticket, once the batch's barriers have run.
-// Submitting on a closed engine completes the SQEs immediately with
-// ENODEV; a containment boundary that rejects the dispatch (contained
-// fault, quarantined engine) likewise completes every SQE not yet
-// handed off with its typed errno, so no submitter is left blocked in
-// Wait and none completes twice.
+// Submit issues every SQE enqueued since the last Submit and returns
+// the batch's Ticket with all of them completed. Submitting on a
+// closed engine completes the SQEs with ENODEV; a containment boundary
+// that rejects the dispatch (contained fault, quarantined engine)
+// completes every SQE not yet completed with its typed errno, so no
+// submitter is left blocked in Wait and none completes twice.
 func (b *Batch) Submit() *Ticket {
 	if len(b.pending) == 0 {
 		return b.t
@@ -148,10 +146,9 @@ func (b *Batch) Submit() *Ticket {
 	batch := b.pending
 	b.pending = nil
 	clear(b.lastWrite)
-	sent := 0
 	run := func() kbase.Errno {
 		b.e.batches.Add(1)
-		b.e.dispatch(batch, &sent)
+		b.e.dispatch(batch)
 		return kbase.EOK
 	}
 	box := b.e.boundary.Load()
@@ -160,8 +157,10 @@ func (b *Batch) Submit() *Ticket {
 		return b.t
 	}
 	if err := box.b.Run("submit", run); err != kbase.EOK {
-		for _, s := range batch[sent:] {
-			b.e.complete(s, err)
+		for _, s := range batch {
+			if !s.done {
+				b.e.complete(s, err)
+			}
 		}
 	}
 	return b.t

@@ -1,10 +1,11 @@
-// Package kio is an io_uring-style asynchronous block I/O engine over
-// the simulated device stack: callers enqueue read/write/flush
-// submission-queue entries (SQEs) on a Batch, Submit fans the work out
-// to a configurable worker pool (per-shard ordering preserved, write
-// runs submitted through the device plug so each shard lock is taken
-// once per group), and every completion is published as a CQE into
-// the submitter's Ticket for Wait/Err-style joins.
+// Package kio is an io_uring-style block I/O engine over the simulated
+// device stack: callers enqueue read/write/flush submission-queue
+// entries (SQEs) on a Batch, and Submit issues them inline on the
+// submitting goroutine (write runs go through the device plug, so each
+// shard lock is taken once per run) and publishes every completion as
+// a CQE into the submitter's Ticket for Wait/Err-style joins. Every
+// backend here completes synchronously, so like io_uring's inline
+// issue there is no worker hop; Submit returns with its batch done.
 //
 // The engine exists to turn the paper's §4.3 performance claim into a
 // measured number: ownership-sharing interfaces are semantically
@@ -19,12 +20,12 @@
 // CopiesAvoided count both paths, so the claim is counter-verified
 // rather than asserted.
 //
-// Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue:
-// the submitting goroutine waits until every previously dispatched
-// SQE, from any batch, has completed, executes the device flush
-// itself, and only then dispatches what follows; Submit returns once
-// its batch's barriers have run. The journal's overlapped commit hangs
-// its commit-record ordering off exactly this.
+// Barrier SQEs (Batch.Barrier) are the io_uring IO_DRAIN analogue: a
+// barrier flushes the device only after every SQE dispatched before
+// it, from any batch, has completed. Batches dispatch one at a time
+// under the engine's dispatch lock and complete before it is
+// released, so the drain holds by construction. The journal's commit
+// hangs its commit-record ordering off exactly this.
 package kio
 
 import (
@@ -45,8 +46,8 @@ var (
 )
 
 // OpBatch is the latency-plane op for one submit→wait batch (exported
-// so the journal's overlapped commit and the buffer cache's async
-// sync can span their batches as children of the caller's trace).
+// so the journal's batched commit and the buffer cache's async sync
+// can span their batches as children of the caller's trace).
 var OpBatch = ktrace.NewOp("kio:batch")
 
 // Op is the SQE operation code.
@@ -99,20 +100,10 @@ type plugger interface {
 
 // Config tunes an Engine.
 type Config struct {
-	// Workers is the completion worker pool size (default 4). Blocks
-	// hash to workers by device shard, so per-block ordering is
-	// preserved regardless of pool size.
-	Workers int
 	// Checker, when set, supplies the ownership checker used to mint
 	// the fresh pages WriteOwned completions return. When nil, owned
 	// completions return no page (CQE.Page is the zero handle).
 	Checker *own.Checker
-}
-
-func (c *Config) fill() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 }
 
 // Stats counts engine activity. BytesCopied/CopiesPerformed cover the
@@ -162,6 +153,7 @@ type sqe struct {
 	t      *Ticket
 	idx    int   // slot in t.results
 	tNs    int64 // submit timestamp for the sqe latency histogram (0 = unsampled)
+	done   bool  // completed; a contained fault fails only the SQEs without it
 }
 
 // Engine is the async I/O engine. All methods are safe for concurrent
@@ -172,16 +164,12 @@ type Engine struct {
 	ow      ownedWriter // nil when backend lacks the zero-copy path
 	pl      plugger     // nil when backend lacks the plug path
 
-	// mu is the dispatch lock. Submit holds it while it hands a
-	// batch to the workers and runs the batch's barriers, so batches
-	// dispatch in one global order and a barrier drains every SQE
-	// dispatched before it; Close holds it while shutting down.
-	// Workers never take mu, so a send that blocks on a full worker
-	// channel, or a barrier waiting on inflight, always makes progress.
-	mu       sync.Mutex
-	closed   bool
-	workerCh []chan []*sqe
-	inflight sync.WaitGroup // dispatched worker groups; Add/Wait under mu
+	// mu is the dispatch lock. Submit holds it while it issues a
+	// batch to the device and completes it, so batches dispatch in one
+	// global order and a barrier follows every SQE dispatched before
+	// it; Close holds it to mark the engine closed.
+	mu     sync.Mutex
+	closed bool
 
 	// boundary, when installed, wraps batch submission in a
 	// crash-containment compartment (see boundary.go).
@@ -202,25 +190,14 @@ type Engine struct {
 	sqeHist *ktrace.Histogram
 }
 
-// New starts an engine over backend. Close must be called to stop the
-// worker goroutines.
+// New returns an engine over backend.
 func New(backend Backend, cfg Config) *Engine {
-	cfg.fill()
-	e := &Engine{
-		cfg:      cfg,
-		backend:  backend,
-		workerCh: make([]chan []*sqe, cfg.Workers),
-		sqeHist:  ktrace.NewHistogram(),
-	}
+	e := &Engine{cfg: cfg, backend: backend, sqeHist: ktrace.NewHistogram()}
 	if ow, ok := backend.(ownedWriter); ok {
 		e.ow = ow
 	}
 	if pl, ok := backend.(plugger); ok {
 		e.pl = pl
-	}
-	for i := range e.workerCh {
-		e.workerCh[i] = make(chan []*sqe, 8)
-		go e.worker(e.workerCh[i])
 	}
 	return e
 }
@@ -228,19 +205,13 @@ func New(backend Backend, cfg Config) *Engine {
 // BlockSize returns the backend's block size.
 func (e *Engine) BlockSize() int { return e.backend.BlockSize() }
 
-// Close waits for every dispatched SQE to complete and stops the
-// workers. Submissions after Close complete immediately with ENODEV.
+// Close shuts the engine. No dispatch is in flight while Close holds
+// the dispatch lock, so nothing is left to drain; submissions after
+// Close complete immediately with ENODEV.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
 	e.closed = true
-	for _, ch := range e.workerCh {
-		close(ch)
-	}
-	e.inflight.Wait()
+	e.mu.Unlock()
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -271,76 +242,24 @@ func (e *Engine) CollectMetrics(emit func(name string, value uint64)) {
 	emit("copies_avoided", s.CopiesAvoided)
 }
 
-// dispatch hands batch to the workers on the submitting goroutine,
-// under the dispatch lock. Runs of non-barrier SQEs fan out grouped by
-// worker, so per-block FIFO order is preserved; a barrier first waits
-// for everything in flight, then flushes and completes in place.
-// *sent counts the leading SQEs already handed off or completed, so a
-// fault contained mid-dispatch fails only the rest.
-func (e *Engine) dispatch(batch []*sqe, sent *int) {
+// dispatch issues batch in order on the submitting goroutine, under
+// the dispatch lock. Consecutive writes accumulate in a device plug
+// (one shard-lock acquisition per shard per run), drained before any
+// read so the read observes them through the device cache exactly as
+// the synchronous call sequence would, and before any barrier, which
+// then flushes. Every SQE is complete when dispatch returns.
+func (e *Engine) dispatch(batch []*sqe) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		for _, s := range batch {
 			e.complete(s, kbase.ENODEV)
 		}
-		*sent = len(batch)
 		return
 	}
-	for i := 0; i < len(batch); {
-		if batch[i].op == OpFlush {
-			e.inflight.Wait()
-			err := e.backend.Flush()
-			tpBarrier.Emit(0, 0, uint64(err))
-			e.barriers.Add(1)
-			e.complete(batch[i], err)
-			i++
-			*sent = i
-			continue
-		}
-		// A run of non-barrier SQEs: group by worker. Blocks hash to
-		// workers through their device shard, so two SQEs on one block
-		// always reach the same worker, in order.
-		groups := make([][]*sqe, e.cfg.Workers)
-		j := i
-		for j < len(batch) && batch[j].op != OpFlush {
-			w := e.workerFor(batch[j].block)
-			groups[w] = append(groups[w], batch[j])
-			j++
-		}
-		for w, g := range groups {
-			if len(g) > 0 {
-				e.inflight.Add(1)
-				e.workerCh[w] <- g
-			}
-		}
-		i = j
-		*sent = i
-	}
-}
-
-func (e *Engine) workerFor(block uint64) int {
-	return int(block%blockdev.NumShards) % e.cfg.Workers
-}
-
-// worker executes dispatched groups. Reads run one at a time; write
-// runs are submitted through the device plug (one shard-lock
-// acquisition per shard per run) when the backend supports it.
-func (e *Engine) worker(ch chan []*sqe) {
-	for g := range ch {
-		e.runGroup(g)
-		e.inflight.Done()
-	}
-}
-
-// runGroup executes one worker group in order, accumulating
-// consecutive writes into a plug and draining it before any read so a
-// read of a just-written block observes the write through the device
-// cache, exactly as the synchronous call sequence would.
-func (e *Engine) runGroup(g []*sqe) {
 	var plug *blockdev.Plug
 	var plugged []*sqe
-	drain := func() {
+	unplug := func() {
 		if len(plugged) == 0 {
 			return
 		}
@@ -350,11 +269,17 @@ func (e *Engine) runGroup(g []*sqe) {
 		}
 		plugged = plugged[:0]
 	}
-	for _, s := range g {
+	for _, s := range batch {
 		switch s.op {
 		case OpRead:
-			drain()
+			unplug()
 			e.complete(s, e.backend.Read(s.block, s.buf))
+		case OpFlush:
+			unplug()
+			err := e.backend.Flush()
+			tpBarrier.Emit(0, 0, uint64(err))
+			e.barriers.Add(1)
+			e.complete(s, err)
 		case OpWrite:
 			if e.pl != nil {
 				if plug == nil {
@@ -376,7 +301,7 @@ func (e *Engine) runGroup(g []*sqe) {
 			}
 		}
 	}
-	drain()
+	unplug()
 }
 
 // SQEHist returns the engine's submit-to-complete latency histogram.
@@ -391,6 +316,7 @@ func (e *Engine) noteLatency(s *sqe) {
 
 // complete publishes one completion into the submitter's Ticket.
 func (e *Engine) complete(s *sqe, err kbase.Errno) {
+	s.done = true
 	e.noteLatency(s)
 	cqe := CQE{Op: s.op, Block: s.block, User: s.user, Err: err, Merged: s.merged}
 	if s.owned {

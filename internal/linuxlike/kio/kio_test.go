@@ -57,7 +57,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestBarrierMakesWritesDurable(t *testing.T) {
-	e, dev := testEngine(t, 32, Config{Workers: 4})
+	e, dev := testEngine(t, 32, Config{})
 	b := e.NewBatch()
 	payload := make(map[uint64][]byte)
 	for blk := uint64(0); blk < 20; blk++ {
@@ -296,7 +296,7 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	tk := b.Submit()
 	e.Close()
-	// Close drained the in-flight batch.
+	// The batch completed inside Submit, before Close.
 	if err := tk.Err(); err != kbase.EOK {
 		t.Fatalf("pre-Close batch: %v", err)
 	}
@@ -311,10 +311,10 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 
 // TestConcurrentBatches hammers the engine from many goroutines, each
 // with its own batch and disjoint block range — the -race target for
-// the dispatch/worker machinery.
+// the dispatch lock and ticket delivery.
 func TestConcurrentBatches(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
-	e, _ := testEngine(t, 1024, Config{Workers: 8, Checker: ck})
+	e, _ := testEngine(t, 1024, Config{Checker: ck})
 	const gor = 8
 	const perG = 16
 	var wg sync.WaitGroup
@@ -366,9 +366,9 @@ func TestConcurrentBatches(t *testing.T) {
 }
 
 // TestPerBlockOrderAcrossBatches verifies writes to one block from
-// successive batches apply in submit order (shard-affine workers).
+// successive batches apply in submit order.
 func TestPerBlockOrderAcrossBatches(t *testing.T) {
-	e, dev := testEngine(t, 16, Config{Workers: 4})
+	e, dev := testEngine(t, 16, Config{})
 	var last *Ticket
 	for i := 0; i < 50; i++ {
 		b := e.NewBatch()
@@ -376,9 +376,6 @@ func TestPerBlockOrderAcrossBatches(t *testing.T) {
 		last = b.Submit()
 	}
 	last.Wait()
-	// Drain everything (earlier tickets may still be in flight only if
-	// ordering broke; the wait above is the ordering assertion's
-	// premise: batch 49 ran last on block 3's worker).
 	b := e.NewBatch()
 	b.Barrier(0)
 	b.Submit().Wait()
@@ -444,15 +441,15 @@ func (p *panicFlushBackend) Flush() kbase.Errno {
 }
 
 // TestBarrierFlushPanicContained faults the device flush in the middle
-// of a batch: the writes ahead of the barrier are already with the
-// workers, the barrier and what follows are not. Each SQE must
-// complete exactly once and the engine must stay usable.
+// of a batch: the writes ahead of the barrier have completed, the
+// barrier and what follows have not. Each SQE must complete exactly
+// once and the engine must stay usable.
 func TestBarrierFlushPanicContained(t *testing.T) {
 	ck := own.NewChecker(own.PolicyRecord)
 	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
 	be := &panicFlushBackend{plainBackend: plainBackend{dev}}
 	be.armed.Store(true)
-	e := New(be, Config{Workers: 4, Checker: ck})
+	e := New(be, Config{Checker: ck})
 	e.SetBoundary(recoverBoundary{})
 
 	b := e.NewBatch()
@@ -517,10 +514,12 @@ func TestBarrierFlushPanicContained(t *testing.T) {
 	}
 }
 
-// gatedBackend is a plain backend whose writes block until released,
-// and which logs when each write and flush finishes.
+// gatedBackend is a plain backend whose writes signal entered and
+// then block until released, and which logs when each write and flush
+// finishes.
 type gatedBackend struct {
 	plainBackend
+	entered chan struct{}
 	release chan struct{}
 	mu      sync.Mutex
 	log     []Op
@@ -533,6 +532,7 @@ func (g *gatedBackend) note(op Op) {
 }
 
 func (g *gatedBackend) Write(b uint64, data []byte) kbase.Errno {
+	g.entered <- struct{}{}
 	<-g.release
 	defer g.note(OpWrite)
 	return g.plainBackend.Write(b, data)
@@ -544,17 +544,23 @@ func (g *gatedBackend) Flush() kbase.Errno {
 }
 
 // TestBarrierDrainsOtherBatches checks IO_DRAIN across batches: a
-// barrier submitted on one batch waits for a write still in flight
-// from another, and Submit returns only after its barrier has run.
+// barrier submitted on one batch waits for a write still issuing from
+// another, and Submit returns only after its barrier has run.
 func TestBarrierDrainsOtherBatches(t *testing.T) {
 	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
-	be := &gatedBackend{plainBackend: plainBackend{dev}, release: make(chan struct{})}
-	e := New(be, Config{Workers: 4})
+	be := &gatedBackend{plainBackend: plainBackend{dev}, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	e := New(be, Config{})
 	defer e.Close()
 
-	w := e.NewBatch()
-	w.Write(5, fill(e.BlockSize(), 0x55), 1)
-	wt := w.Submit() // no barrier: returns with the write in flight
+	// The write's Submit issues it inline and blocks in the gated
+	// device until released.
+	issuing := make(chan *Ticket)
+	go func() {
+		w := e.NewBatch()
+		w.Write(5, fill(e.BlockSize(), 0x55), 1)
+		issuing <- w.Submit()
+	}()
+	<-be.entered
 
 	submitted := make(chan struct{})
 	go func() {
@@ -569,6 +575,7 @@ func TestBarrierDrainsOtherBatches(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(be.release)
+	wt := <-issuing
 	<-submitted
 	// Submit returned after the barrier ran, so the flush is logged
 	// without waiting on any ticket.
@@ -580,5 +587,113 @@ func TestBarrierDrainsOtherBatches(t *testing.T) {
 	}
 	if err := wt.Err(); err != kbase.EOK {
 		t.Fatalf("write: %v", err)
+	}
+}
+
+// TestSubmitReturnsCompleted pins inline issue: Submit on a batch
+// without a barrier returns with every SQE already completed.
+func TestSubmitReturnsCompleted(t *testing.T) {
+	e, _ := testEngine(t, 32, Config{})
+	b := e.NewBatch()
+	got := make([]byte, e.BlockSize())
+	for blk := uint64(0); blk < 8; blk++ {
+		b.Write(blk, fill(e.BlockSize(), byte(blk)), blk)
+	}
+	b.Read(3, got, 8)
+	b.Submit()
+	if st := e.Stats(); st.Completed != st.Submitted || st.Submitted != 9 {
+		t.Fatalf("Submit returned with %d of %d SQEs completed", st.Completed, st.Submitted)
+	}
+	if got[0] != 3 {
+		t.Fatal("read did not observe the write before it")
+	}
+}
+
+// panicWriteBackend is a plain backend whose Write panics on one block
+// while armed.
+type panicWriteBackend struct {
+	plainBackend
+	armed atomic.Bool
+	bad   uint64
+}
+
+func (p *panicWriteBackend) Write(b uint64, data []byte) kbase.Errno {
+	if p.armed.Load() && b == p.bad {
+		panic("injected write fault")
+	}
+	return p.plainBackend.Write(b, data)
+}
+
+// TestWritePanicContained faults a device write in the middle of a
+// batch. The write is issued inside the boundary, so the fault is
+// contained like a flush fault: the writes before it complete
+// normally, the faulted write and everything after it fail EFAULT,
+// each SQE exactly once, and the engine stays usable.
+func TestWritePanicContained(t *testing.T) {
+	ck := own.NewChecker(own.PolicyRecord)
+	dev := blockdev.New(blockdev.Config{Blocks: 32, BlockSize: 64, Rng: kbase.NewRng(7)})
+	be := &panicWriteBackend{plainBackend: plainBackend{dev}, bad: 4}
+	be.armed.Store(true)
+	e := New(be, Config{Checker: ck})
+	e.SetBoundary(recoverBoundary{})
+
+	b := e.NewBatch()
+	for blk := uint64(0); blk < 8; blk++ {
+		page := own.New(ck, "test:page", fill(e.BlockSize(), byte(blk)))
+		if err := b.WriteOwned(blk, page, blk); err != kbase.EOK {
+			t.Fatalf("WriteOwned(%d): %v", blk, err)
+		}
+	}
+	b.Barrier(100)
+	tk := b.Submit()
+	joined := make(chan []CQE)
+	go func() { joined <- tk.Wait() }()
+	var cqes []CQE
+	select {
+	case cqes = <-joined:
+	case <-time.After(5 * time.Second):
+		// Wait joins on an exact count, so it hangs if an SQE
+		// completes twice or never.
+		t.Fatalf("Wait hung: %d of %d SQEs completed", e.Stats().Completed, e.Stats().Submitted)
+	}
+	if len(cqes) != 9 {
+		t.Fatalf("got %d CQEs, want 9", len(cqes))
+	}
+	for i, cqe := range cqes {
+		want := kbase.EOK
+		if i >= int(be.bad) {
+			want = kbase.EFAULT
+		}
+		if cqe.Err != want {
+			t.Errorf("CQE %d (user %d): %v, want %v", i, cqe.User, cqe.Err, want)
+		}
+		if cqe.Page.Valid() {
+			cqe.Page.Free()
+		}
+	}
+	if st := e.Stats(); st.Completed != st.Submitted || st.Completed != 9 {
+		t.Fatalf("completed %d of %d submitted, want 9 of 9", st.Completed, st.Submitted)
+	}
+	// A second completion of a moved page would free it twice.
+	if n := ck.Count(); n != 0 {
+		t.Fatalf("checker recorded %d violations: %v", n, ck.Violations())
+	}
+
+	// The dispatch lock was released: the engine still serves.
+	be.armed.Store(false)
+	b2 := e.NewBatch()
+	b2.Write(21, fill(e.BlockSize(), 1), 0)
+	b2.Barrier(0)
+	if err := b2.Submit().Err(); err != kbase.EOK {
+		t.Fatalf("submit after contained fault: %v", err)
+	}
+	e.Close()
+	b3 := e.NewBatch()
+	b3.Write(22, fill(e.BlockSize(), 1), 0)
+	if err := b3.Submit().Err(); err != kbase.ENODEV {
+		t.Fatalf("post-Close submit: %v, want ENODEV", err)
+	}
+	if leaks := ck.CheckLeaks(); len(leaks) != 0 {
+		t.Fatalf("pages leaked: %v", leaks)
 	}
 }

@@ -12,7 +12,7 @@ import (
 func asyncCache(t *testing.T) (*Cache, *blockdev.Device, *own.Checker) {
 	t.Helper()
 	c, dev, ck := testCache(t)
-	e := kio.New(dev, kio.Config{Workers: 4})
+	e := kio.New(dev, kio.Config{})
 	t.Cleanup(e.Close)
 	c.SetEngine(e)
 	return c, dev, ck

@@ -354,9 +354,8 @@ func (c *Cache) Sync() kbase.Errno {
 // syncAsync is Sync's engine path: each buffer steps Dirty→Writing and
 // its payload is enqueued under a shared borrow (the batch's one
 // defensive copy happens inside the borrow, so the capability rules
-// still bracket every byte access), all submissions go out before any
-// completion is reaped, and a single barrier SQE replaces the trailing
-// flush. Completions then drive Writing→Clean or Writing→Error exactly
+// still bracket every byte access), the whole batch is submitted once,
+// and a single barrier SQE replaces the trailing flush. Completions then drive Writing→Clean or Writing→Error exactly
 // as the synchronous loop would.
 func (c *Cache) syncAsync(e *kio.Engine, toWrite []*Buffer) kbase.Errno {
 	var firstErr kbase.Errno = kbase.EOK
@@ -390,7 +389,6 @@ func (c *Cache) syncAsync(e *kio.Engine, toWrite []*Buffer) kbase.Errno {
 			continue
 		}
 		queued = append(queued, b)
-		batch.Submit()
 	}
 	batch.Barrier(0)
 	for _, cqe := range batch.Submit().Wait() {

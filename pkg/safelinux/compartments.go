@@ -170,8 +170,9 @@ func (k *Kernel) restartBuf(task *kbase.Task) kbase.Errno {
 
 // restartKio replaces the async I/O engine with a fresh one and
 // re-wires the journal and buffer cache onto it. The dead engine is
-// closed best-effort: its workers drain what they hold, and a panic
-// out of a poisoned engine must not escape the restart path.
+// closed best-effort: a submission that was issuing when the fault
+// hit has already completed its SQEs through the boundary, and a
+// panic out of a poisoned engine must not escape the restart path.
 func (k *Kernel) restartKio(task *kbase.Task) kbase.Errno {
 	old := k.ioEngine
 	k.ioEngine = kio.New(k.rootDev, kio.Config{Checker: k.Checker})

@@ -614,7 +614,7 @@ func (x *FuzzExec) KioBatch(nOps int, seed uint32) FuzzResult {
 			Blocks: scratchBlocks, BlockSize: 512,
 			Rng: kbase.NewRng(7),
 		})
-		x.scratch = kio.New(x.scratchDev, kio.Config{Workers: 1, Checker: x.K.Checker})
+		x.scratch = kio.New(x.scratchDev, kio.Config{Checker: x.K.Checker})
 	}
 	rng := kbase.NewRng(uint64(seed) + 2)
 	b := x.scratch.NewBatch()

@@ -39,8 +39,8 @@ type Config struct {
 	// instead of panicking (default true).
 	CaptureOops bool
 	// AsyncIO boots the kernel with a kio engine on the root device:
-	// journal commits overlap log-block submission with checksumming,
-	// and buffer-cache writeback goes through batched async writes.
+	// journal commits and buffer-cache writeback go to the device as
+	// plugged batches with one barrier each.
 	AsyncIO bool
 	// Link is the fault model for the link between the kernel's two
 	// hosts. The zero value selects the historical default of a
@@ -143,7 +143,7 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	}
 
 	// Async I/O: one kio engine over the root device, shared by the
-	// journal (overlapped commit) and the buffer cache (batched
+	// journal (batched commit) and the buffer cache (batched
 	// writeback). The mount recovered the journal synchronously above,
 	// so the engine only ever sees steady-state traffic.
 	if cfg.AsyncIO {
@@ -185,8 +185,8 @@ func New(cfg Config) (*Kernel, kbase.Errno) {
 	return k, kbase.EOK
 }
 
-// Close shuts down the async I/O engine (draining in-flight
-// submissions) and uninstalls the kernel's oops recorder.
+// Close shuts down the async I/O engine and uninstalls the kernel's
+// oops recorder.
 func (k *Kernel) Close() {
 	if k.Plane != nil {
 		k.Plane.Settle()
@@ -402,13 +402,24 @@ func (k *Kernel) migrateTCP(task *kbase.Task) kbase.Errno {
 }
 
 // RegisterMetrics wires every live subsystem into a ktrace metrics
-// registry: the root block device, the VFS/dcache, the ownership
-// checker, the root file system's journal and buffer cache (legacy
-// configuration), the safe transport endpoints (after UpgradeTCP), and
-// the ktrace built-ins (tracepoint hit counts, lockstat). Call again
-// after an upgrade to pick up newly installed modules.
+// registry: the block device the root file system lives on, the
+// VFS/dcache, the ownership checker, the root file system's journal
+// and buffer cache (legacy configuration), the kio engine, the safe
+// transport endpoints (after UpgradeTCP), and the ktrace built-ins
+// (tracepoint hit counts, lockstat). The block device and the kio
+// engine are read through live sources, so they follow UpgradeFS and
+// a kio compartment restart. To pick up the other modules an upgrade
+// installs, register into a fresh registry: a registry sums the
+// collectors of one subsystem, so a second call on the same one
+// double counts every counter.
 func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
-	m.Register("blockdev", k.rootDev.CollectMetrics)
+	m.Register("blockdev", func(emit func(string, uint64)) {
+		if k.safeDev != nil {
+			k.safeDev.CollectMetrics(emit)
+			return
+		}
+		k.rootDev.CollectMetrics(emit)
+	})
 	m.Register("vfs", k.VFS.CollectMetrics)
 	m.Register("own", k.Checker.CollectMetrics)
 	if root, err := k.VFS.Resolve(k.Task, "/"); err == kbase.EOK {
@@ -421,15 +432,17 @@ func (k *Kernel) RegisterMetrics(m *ktrace.Metrics) {
 		m.Register("safetcp", k.safeEPA.CollectMetrics)
 		m.Register("safetcp", k.safeEPB.CollectMetrics)
 	}
-	if k.ioEngine != nil {
-		m.Register("kio", k.ioEngine.CollectMetrics)
-	}
-	// Latency plane v2: SQE submit→complete latency is read through a
-	// live source (the engine is replaced on a kio hot-swap; a direct
-	// histogram registration would pin the old epoch's distribution),
-	// while the safetcp and compartment distributions are package-level
-	// and register once — re-registration on a post-upgrade call is the
+	// The kio counters and its SQE submit→complete latency are read
+	// through live sources: the engine is replaced on a kio compartment
+	// restart, and a direct registration would pin the dead engine.
+	// The safetcp and compartment distributions are package-level and
+	// register once — re-registration on a post-upgrade call is the
 	// expected duplicate and is ignored.
+	m.Register("kio", func(emit func(string, uint64)) {
+		if eng := k.ioEngine; eng != nil {
+			eng.CollectMetrics(emit)
+		}
+	})
 	m.RegisterHistSource("kio", func(emit func(string, ktrace.HistView)) {
 		if eng := k.ioEngine; eng != nil {
 			emit("sqe_ns", eng.SQEHist().View())

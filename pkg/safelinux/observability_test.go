@@ -3,6 +3,7 @@ package safelinux
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"safelinux/internal/linuxlike/ebpflike"
 	"safelinux/internal/linuxlike/kbase"
@@ -76,6 +77,61 @@ func TestKernelRegisterMetrics(t *testing.T) {
 	k.RegisterMetrics(m2)
 	if _, ok := m2.Lookup("safetcp", "segments"); !ok {
 		t.Error("safetcp.segments not registered after UpgradeTCP")
+	}
+}
+
+// TestRegisterMetricsFollowsLiveObjects checks the registry reads the
+// engine and device in use now, not the ones wired at registration: a
+// kio compartment restart replaces the engine, and UpgradeFS moves the
+// root file system onto a new device.
+func TestRegisterMetricsFollowsLiveObjects(t *testing.T) {
+	k := bootCompartmented(t, Config{Seed: 14, AsyncIO: true})
+	m := ktrace.NewMetrics()
+	k.RegisterMetrics(m)
+	syncFile := func(path string) {
+		t.Helper()
+		writeThrough(t, k.VFS, k.Task, path, strings.Repeat("m", 2048))
+		if err := k.VFS.SyncAll(k.Task); err != kbase.EOK {
+			t.Fatalf("SyncAll: %v", err)
+		}
+	}
+	lookup := func(sub, name string) uint64 {
+		t.Helper()
+		v, ok := m.Lookup(sub, name)
+		if !ok {
+			t.Fatalf("metric %s.%s not registered", sub, name)
+		}
+		return v
+	}
+
+	syncFile("/before")
+	old := k.IOEngine()
+	k.Plane.Get("kio").InjectPanic(1)
+	b := old.NewBatch()
+	b.Read(1, make([]byte, old.BlockSize()), 0)
+	if err := b.Submit().Err(); err != kbase.EFAULT {
+		t.Fatalf("faulted submit = %v, want EFAULT", err)
+	}
+	if !k.Plane.WaitHealthy("kio", 5*time.Second) {
+		t.Fatalf("kio did not restart")
+	}
+	k.Plane.Settle()
+	if k.IOEngine() == old {
+		t.Fatal("restart kept the old engine")
+	}
+	completed := lookup("kio", "completed")
+	syncFile("/after")
+	if got := lookup("kio", "completed"); got <= completed {
+		t.Fatalf("kio.completed %d -> %d across I/O on the restarted engine", completed, got)
+	}
+
+	if err := k.UpgradeFS(); err != kbase.EOK {
+		t.Fatalf("UpgradeFS: %v", err)
+	}
+	writes := lookup("blockdev", "writes")
+	syncFile("/safe")
+	if got := lookup("blockdev", "writes"); got <= writes {
+		t.Fatalf("blockdev.writes %d -> %d across safefs writes", writes, got)
 	}
 }
 
